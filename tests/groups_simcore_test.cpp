@@ -12,13 +12,18 @@
 //   (2) byte-identical stats JSON (GroupStats + NetworkStats + HopStats —
 //       obs::to_json is canonical, so one differing counter fails), and
 //   (3) the same run() event count.
+// Each cell also pins a checked-in FNV-1a-64 digest over all three, so a
+// change that moves both paths in lockstep still fails: a digest that has
+// to change is a behaviour change, never a silent re-pin.
 // Cells span QoS 0/1/2, stochastic loss, churn, batching, and a warm
 // root-kill, so every subsystem the knob touches is exercised.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "groups/pubsub.hpp"
@@ -78,8 +83,31 @@ CellResult run_cell(const overlay::OverlayGraph& graph, PubSubConfig config,
   return out;
 }
 
+/// FNV-1a-64 over the delivered (peer, group, seq, time-bits) tuples, the
+/// stats JSON and the event count, each integer fed little-endian.
+std::uint64_t digest(const CellResult& cell) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto byte = [&h](std::uint8_t b) {
+    h ^= b;
+    h *= 0x100000001b3ULL;
+  };
+  const auto word = [&byte](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) byte(static_cast<std::uint8_t>(v >> (8 * i)));
+  };
+  for (const auto& [peer, group, seq, time] : cell.delivered) {
+    word(peer);
+    word(group);
+    word(seq);
+    word(std::bit_cast<std::uint64_t>(time));
+  }
+  for (const char c : cell.stats_json) byte(static_cast<std::uint8_t>(c));
+  word(cell.events);
+  return h;
+}
+
 void expect_equivalent(const overlay::OverlayGraph& graph, PubSubConfig config,
-                       std::size_t groups, std::size_t members, std::size_t publishes,
+                       std::uint64_t expected_digest, std::size_t groups,
+                       std::size_t members, std::size_t publishes,
                        std::size_t departures = 0, bool kill_root = false) {
   config.sim_core = true;
   const auto fast = run_cell(graph, config, groups, members, publishes, departures,
@@ -91,6 +119,8 @@ void expect_equivalent(const overlay::OverlayGraph& graph, PubSubConfig config,
   EXPECT_EQ(fast.stats_json, oracle.stats_json);
   EXPECT_EQ(fast.events, oracle.events);
   EXPECT_FALSE(fast.delivered.empty());
+  EXPECT_EQ(digest(fast), expected_digest)
+      << std::hex << "actual digest 0x" << digest(fast);
 }
 
 TEST(GroupsSimCoreTest, QoS0BatchedLossless) {
@@ -98,7 +128,8 @@ TEST(GroupsSimCoreTest, QoS0BatchedLossless) {
   PubSubConfig config;
   config.seed = 211;
   config.batch_window = 0.1;
-  expect_equivalent(graph, config, /*groups=*/4, /*members=*/10, /*publishes=*/6);
+  expect_equivalent(graph, config, 0xe397f1c6456601a3ULL, /*groups=*/4, /*members=*/10,
+                    /*publishes=*/6);
 }
 
 TEST(GroupsSimCoreTest, QoS1LossyBatchedWithChurn) {
@@ -110,7 +141,7 @@ TEST(GroupsSimCoreTest, QoS1LossyBatchedWithChurn) {
   config.reliability.max_retries = 4;
   config.batch_window = 0.1;
   config.loss.drop_probability = 0.03;
-  expect_equivalent(graph, config, 4, 10, 6, /*departures=*/6);
+  expect_equivalent(graph, config, 0x75da9f0377a49240ULL, 4, 10, 6, /*departures=*/6);
 }
 
 TEST(GroupsSimCoreTest, QoS2LossyRepairPath) {
@@ -122,7 +153,7 @@ TEST(GroupsSimCoreTest, QoS2LossyRepairPath) {
   config.reliability.max_retries = 4;
   config.batch_window = 0.05;
   config.loss.drop_probability = 0.04;
-  expect_equivalent(graph, config, 3, 12, 8);
+  expect_equivalent(graph, config, 0xb8dc8669b4ee9421ULL, 3, 12, 8);
 }
 
 TEST(GroupsSimCoreTest, WarmRootKillFailover) {
@@ -134,21 +165,26 @@ TEST(GroupsSimCoreTest, WarmRootKillFailover) {
   config.reliability.max_retries = 4;
   config.batch_window = 0.1;
   config.warm_failover = true;
-  expect_equivalent(graph, config, 3, 12, 6, /*departures=*/0, /*kill_root=*/true);
+  expect_equivalent(graph, config, 0x3408acba71666202ULL, 3, 12, 6, /*departures=*/0,
+                    /*kill_root=*/true);
 }
 
 TEST(GroupsSimCoreTest, SeedSweepQoS1) {
   // Same scenario, several seeds — the dedup interval-set and wheel pop
   // order must hold across schedule permutations, not one lucky seed.
   const auto graph = make_overlay(130, 2, 1505);
-  for (const std::uint64_t seed : {233u, 239u, 241u}) {
+  const std::pair<std::uint64_t, std::uint64_t> seeds[] = {
+      {233, 0x2e66a4e07807f563ULL},
+      {239, 0x7ef2dbea2d9589bcULL},
+      {241, 0x253b86a9db7788e8ULL}};
+  for (const auto& [seed, expected] : seeds) {
     PubSubConfig config;
     config.seed = seed;
     config.reliability.qos = multicast::QoS::kAcked;
     config.reliability.ack_timeout = 0.05;
     config.reliability.max_retries = 4;
     config.loss.drop_probability = 0.02;
-    expect_equivalent(graph, config, 3, 8, 5);
+    expect_equivalent(graph, config, expected, 3, 8, 5);
   }
 }
 
