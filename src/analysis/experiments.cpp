@@ -1,9 +1,7 @@
 #include "analysis/experiments.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <thread>
 
 #include "analysis/graph_metrics.hpp"
 #include "geometry/random_points.hpp"
@@ -18,6 +16,7 @@
 #include "stability/churn.hpp"
 #include "stability/lifetime.hpp"
 #include "stability/random_parent.hpp"
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 
@@ -74,21 +73,7 @@ SessionSweep sweep_sessions(const overlay::OverlayGraph& graph, std::size_t root
     }
   };
 
-  const unsigned hw = std::thread::hardware_concurrency();
-  const std::size_t threads = std::min<std::size_t>(hw ? hw : 1, sessions ? sessions : 1);
-  if (threads <= 1 || sessions < 16) {
-    run_range(0, sessions);
-  } else {
-    std::vector<std::thread> pool;
-    const std::size_t chunk = (sessions + threads - 1) / threads;
-    for (std::size_t t = 0; t < threads; ++t) {
-      const std::size_t begin = t * chunk;
-      const std::size_t end = std::min(sessions, begin + chunk);
-      if (begin >= end) break;
-      pool.emplace_back(run_range, begin, end);
-    }
-    for (auto& thread : pool) thread.join();
-  }
+  util::parallel_for(sessions, sessions < 16 ? 1 : util::hardware_threads(), run_range);
 
   SessionSweep sweep;
   sweep.sessions = sessions;
@@ -219,21 +204,7 @@ std::vector<StabilitySweepRow> run_stability_sweep(const StabilitySweepConfig& c
                                         tree.lifetimes_monotone()};
       }
     };
-    const unsigned hw = std::thread::hardware_concurrency();
-    const std::size_t threads = std::min<std::size_t>(hw ? hw : 1, k_count);
-    if (threads <= 1) {
-      run_k_range(0, k_count);
-    } else {
-      std::vector<std::thread> pool;
-      const std::size_t chunk = (k_count + threads - 1) / threads;
-      for (std::size_t t = 0; t < threads; ++t) {
-        const std::size_t begin = t * chunk;
-        const std::size_t end = std::min(k_count, begin + chunk);
-        if (begin >= end) break;
-        pool.emplace_back(run_k_range, begin, end);
-      }
-      for (auto& thread : pool) thread.join();
-    }
+    util::parallel_for(k_count, util::hardware_threads(), run_k_range);
     rows.insert(rows.end(), dim_rows.begin(), dim_rows.end());
   }
   return rows;

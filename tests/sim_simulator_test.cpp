@@ -152,6 +152,25 @@ TEST(SimulatorTest, RunUntilStopsAtDeadline) {
   EXPECT_EQ(fired, 2);
 }
 
+TEST(SimulatorTest, RunUntilEventBudgetNeverMovesClockPastPendingEvents) {
+  // Stopping on max_events with events <= `until` still queued must leave
+  // the clock at the last event run: jumping to `until` would make the
+  // next run execute those events with the clock going backwards.
+  Simulator sim;
+  std::vector<SimTime> seen;
+  for (const SimTime t : {1.0, 2.0, 3.0})
+    sim.schedule_at(t, [&] { seen.push_back(sim.now()); });
+  EXPECT_EQ(sim.run_until(5.0, /*max_events=*/1), 1u);
+  EXPECT_DOUBLE_EQ(sim.now(), 1.0);
+  EXPECT_EQ(sim.pending_events(), 2u);
+  EXPECT_EQ(sim.run_until_idle(), 2u);
+  EXPECT_EQ(seen, (std::vector<SimTime>{1.0, 2.0, 3.0}));
+  EXPECT_DOUBLE_EQ(sim.now(), 3.0);
+  // Once nothing at or before `until` is left, the clock does advance.
+  sim.run_until(5.0);
+  EXPECT_DOUBLE_EQ(sim.now(), 5.0);
+}
+
 TEST(SimulatorTest, UniformLatencyWithinBounds) {
   Simulator sim(99);
   RecorderNode a(0), b(1);
