@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <cstddef>
+#include <thread>
 #include <vector>
 
 namespace geomcast::util {
@@ -48,8 +49,10 @@ TEST(ParallelForTest, EveryIndexOnceAcrossShapes) {
 
 TEST(ParallelForTest, SerialPathRunsOneChunkOnCallingThread) {
   std::size_t calls = 0;
+  const auto caller = std::this_thread::get_id();
   parallel_for(9, 1, [&](std::size_t begin, std::size_t end) {
     ++calls;
+    EXPECT_EQ(std::this_thread::get_id(), caller);
     EXPECT_EQ(begin, 0u);
     EXPECT_EQ(end, 9u);
   });
