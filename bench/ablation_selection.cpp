@@ -15,7 +15,8 @@
 int main(int argc, char** argv) {
   using namespace geomcast;
   try {
-    const util::Flags flags(argc, argv);
+    const util::Flags flags(argc, argv,
+                            {"csv", "dims", "k", "peers", "quick", "roots", "seed"});
     analysis::SelectionAblationConfig config;
     config.peers = static_cast<std::size_t>(flags.get_int("peers", 1000));
     config.dims = static_cast<std::size_t>(flags.get_int("dims", 2));

@@ -19,7 +19,8 @@
 int main(int argc, char** argv) {
   using namespace geomcast;
   try {
-    const util::Flags flags(argc, argv);
+    const util::Flags flags(argc, argv,
+                            {"csv", "dims", "peers", "quick", "retries", "seed"});
     const auto peers = static_cast<std::size_t>(
         flags.get_int("peers", flags.get_bool("quick", false) ? 200 : 1000));
     const auto dims = static_cast<std::size_t>(flags.get_int("dims", 2));

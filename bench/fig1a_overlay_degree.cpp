@@ -15,7 +15,7 @@
 int main(int argc, char** argv) {
   using namespace geomcast;
   try {
-    const util::Flags flags(argc, argv);
+    const util::Flags flags(argc, argv, {"csv", "dims", "peers", "quick", "seed"});
     analysis::Fig1aConfig config;
     config.peers = static_cast<std::size_t>(flags.get_int("peers", 1000));
     config.seed = static_cast<std::uint64_t>(flags.get_int("seed", 42));

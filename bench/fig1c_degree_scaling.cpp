@@ -14,7 +14,7 @@
 int main(int argc, char** argv) {
   using namespace geomcast;
   try {
-    const util::Flags flags(argc, argv);
+    const util::Flags flags(argc, argv, {"csv", "dims", "peer-counts", "quick", "seed"});
     analysis::Fig1cConfig config;
     config.seed = static_cast<std::uint64_t>(flags.get_int("seed", 42));
     config.dims = static_cast<std::size_t>(flags.get_int("dims", 2));

@@ -16,7 +16,8 @@
 int main(int argc, char** argv) {
   using namespace geomcast;
   try {
-    const util::Flags flags(argc, argv);
+    const util::Flags flags(argc, argv,
+                            {"csv", "dims", "k-max", "k-min", "peers", "quick", "seed"});
     analysis::StabilitySweepConfig config;
     config.peers = static_cast<std::size_t>(flags.get_int("peers", 1000));
     config.seed = static_cast<std::uint64_t>(flags.get_int("seed", 42));

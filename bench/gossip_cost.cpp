@@ -19,7 +19,7 @@
 int main(int argc, char** argv) {
   using namespace geomcast;
   try {
-    const util::Flags flags(argc, argv);
+    const util::Flags flags(argc, argv, {"br-values", "csv", "peer-counts", "seed"});
     const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 42));
     const auto peer_counts = flags.get_int_list("peer-counts", {16, 32, 64});
     const auto br_values = flags.get_int_list("br-values", {2, 3, 4});

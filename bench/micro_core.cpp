@@ -6,6 +6,7 @@
 // event queue under the cancel-heavy load reliable traffic produces.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <any>
 
 #include "geometry/random_points.hpp"
@@ -17,6 +18,7 @@
 #include "multicast/space_partition.hpp"
 #include "overlay/empty_rect.hpp"
 #include "overlay/equilibrium.hpp"
+#include "overlay/grid_knn.hpp"
 #include "overlay/hyperplane_k.hpp"
 #include "overlay/orthant_sweep.hpp"
 #include "sim/event_queue.hpp"
@@ -346,6 +348,61 @@ void BM_GraftCursorStep(benchmark::State& state) {
   state.SetItemsProcessed(steps);
 }
 BENCHMARK(BM_GraftCursorStep)->Arg(200)->Arg(1000);
+
+// One group-tree build from scratch: the partition kernel at every reached
+// peer, the subscriber split and the zone bookkeeping. Arg 0 is the churn
+// workload's shape (2,000 peers, full-knowledge equilibrium, 24 random
+// subscribers); arg 1 is the scale100k shape (100,000 peers on a grid-kNN
+// k=16 overlay, the 256 peers nearest the root subscribed). Items =
+// partition steps, one per reached peer. The overlays are built once per
+// process and shared across runs.
+void BM_GroupTreeBuild(benchmark::State& state) {
+  struct Shape {
+    overlay::OverlayGraph graph;
+    std::vector<bool> subscribers;
+  };
+  const auto make_shape = [](bool scale100k) {
+    Shape shape;
+    const std::size_t n = scale100k ? 100000 : 2000;
+    const auto points = make_points(n, 3);
+    shape.graph = scale100k
+                      ? overlay::build_equilibrium_local(points, overlay::EmptyRectSelector{}, 16)
+                      : overlay::build_equilibrium(points, overlay::EmptyRectSelector{}, 1);
+    shape.subscribers.assign(n, false);
+    if (scale100k) {
+      std::vector<std::pair<double, overlay::PeerId>> by_dist;
+      for (overlay::PeerId p = 1; p < n; ++p)
+        by_dist.emplace_back(geometry::l2_distance_sq(points[p], points[0]), p);
+      std::partial_sort(by_dist.begin(), by_dist.begin() + 256, by_dist.end());
+      for (std::size_t i = 0; i < 256; ++i) shape.subscribers[by_dist[i].second] = true;
+    } else {
+      util::Rng rng(29);
+      for (std::size_t picked = 0; picked < 24;) {
+        const auto p = static_cast<overlay::PeerId>(rng.next_below(n));
+        if (p == 0 || shape.subscribers[p]) continue;
+        shape.subscribers[p] = true;
+        ++picked;
+      }
+    }
+    return shape;
+  };
+  const Shape& shape = [&]() -> const Shape& {
+    if (state.range(0) == 0) {
+      static const Shape churn = make_shape(false);
+      return churn;
+    }
+    static const Shape scale = make_shape(true);
+    return scale;
+  }();
+  std::int64_t steps = 0;
+  for (auto _ : state) {
+    const auto gt = groups::build_group_tree(shape.graph, /*root=*/0, shape.subscribers);
+    steps += static_cast<std::int64_t>(gt.tree.reached_count());
+    benchmark::DoNotOptimize(gt.build_messages);
+  }
+  state.SetItemsProcessed(steps);
+}
+BENCHMARK(BM_GroupTreeBuild)->Arg(0)->Arg(1);
 
 // Routed vs local graft, end to end on the simulated network: 16 early
 // subscribers build the tree, 16 late ones graft into it — arg 1 drives

@@ -1784,7 +1784,15 @@ int run_hot_group(ScenarioParams params, std::size_t dims, bool csv,
 
 int main(int argc, char** argv) {
   try {
-    const util::Flags flags(argc, argv);
+    const util::Flags flags(argc, argv,
+                            {"ack-timeout", "batch-compare", "batch-window", "csv",
+                             "departures", "dims", "graft-cost", "graft-prefix-batch",
+                             "groups", "hot-group", "json", "latency", "loss", "max-batch",
+                             "midwave", "peers", "pub-burst", "publisher-batch-window",
+                             "publishes", "qos", "quick", "replicas", "retention",
+                             "retries", "root-kill", "seed", "simcore", "simcore-k",
+                             "simcore-peers", "snapshot", "snapshot-interval",
+                             "subscribers", "sweep", "trace"});
     ScenarioParams params;
     params.peers = static_cast<std::size_t>(flags.get_int("peers", 1000));
     const auto dims = static_cast<std::size_t>(flags.get_int("dims", 3));

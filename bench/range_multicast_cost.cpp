@@ -22,7 +22,8 @@
 int main(int argc, char** argv) {
   using namespace geomcast;
   try {
-    const util::Flags flags(argc, argv);
+    const util::Flags flags(argc, argv,
+                            {"csv", "dims", "peers", "quick", "seed", "trials"});
     const auto peers = static_cast<std::size_t>(
         flags.get_int("peers", flags.get_bool("quick", false) ? 300 : 1000));
     const auto dims = static_cast<std::size_t>(flags.get_int("dims", 2));

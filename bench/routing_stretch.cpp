@@ -25,7 +25,7 @@
 int main(int argc, char** argv) {
   using namespace geomcast;
   try {
-    const util::Flags flags(argc, argv);
+    const util::Flags flags(argc, argv, {"csv", "dims", "pairs", "peers", "quick", "seed"});
     const auto peers = static_cast<std::size_t>(
         flags.get_int("peers", flags.get_bool("quick", false) ? 300 : 1000));
     const auto pairs = static_cast<std::size_t>(flags.get_int("pairs", 500));

@@ -23,7 +23,7 @@
 
 int main(int argc, char** argv) {
   using namespace geomcast;
-  const util::Flags flags(argc, argv);
+  const util::Flags flags(argc, argv, {"dims", "k", "seed", "vms"});
   const auto vms = static_cast<std::size_t>(flags.get_int("vms", 400));
   const auto dims = static_cast<std::size_t>(flags.get_int("dims", 3));
   const auto k = static_cast<std::size_t>(flags.get_int("k", 3));

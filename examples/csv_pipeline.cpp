@@ -86,7 +86,8 @@ util::Table points_table(const std::vector<geometry::Point>& points) {
 
 int main(int argc, char** argv) {
   try {
-    const util::Flags flags(argc, argv);
+    const util::Flags flags(argc, argv,
+                            {"dims", "emit", "input", "output", "peers", "root", "seed"});
     const auto input = flags.get_string("input", "-");
     const auto output = flags.get_string("output", "-");
     const auto root = static_cast<overlay::PeerId>(flags.get_int("root", 0));

@@ -30,7 +30,7 @@ double scale(double coordinate) {
 
 int main(int argc, char** argv) {
   using namespace geomcast;
-  const util::Flags flags(argc, argv);
+  const util::Flags flags(argc, argv, {"out", "peers", "root", "seed"});
   const auto peers = static_cast<std::size_t>(flags.get_int("peers", 120));
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 9));
   const auto root = static_cast<overlay::PeerId>(flags.get_int("root", 0));

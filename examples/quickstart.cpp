@@ -19,7 +19,7 @@
 
 int main(int argc, char** argv) {
   using namespace geomcast;
-  const util::Flags flags(argc, argv);
+  const util::Flags flags(argc, argv, {"dims", "peers", "seed"});
   const auto peers = static_cast<std::size_t>(flags.get_int("peers", 200));
   const auto dims = static_cast<std::size_t>(flags.get_int("dims", 2));
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 7));

@@ -20,7 +20,7 @@
 
 int main(int argc, char** argv) {
   using namespace geomcast;
-  const util::Flags flags(argc, argv);
+  const util::Flags flags(argc, argv, {"hi", "lo", "peers", "seed"});
   const auto peers = static_cast<std::size_t>(flags.get_int("peers", 500));
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 13));
   const double lo = flags.get_double("lo", 200.0);

@@ -28,7 +28,7 @@
 
 int main(int argc, char** argv) {
   using namespace geomcast;
-  const util::Flags flags(argc, argv);
+  const util::Flags flags(argc, argv, {"seed", "sensors"});
   const auto sensors = static_cast<std::size_t>(flags.get_int("sensors", 300));
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 5));
 

@@ -18,23 +18,16 @@ bool is_alive(const std::vector<bool>& alive, PeerId p) {
   return alive.empty() || alive[p];
 }
 
-/// Overlay neighbours of `p` that are up, as selection candidates.
-std::vector<overlay::Candidate> alive_neighbors(const overlay::OverlayGraph& graph,
-                                                PeerId p, const std::vector<bool>& alive) {
-  std::vector<overlay::Candidate> result;
-  for (PeerId q : graph.neighbors(p))
-    if (is_alive(alive, q)) result.push_back(overlay::Candidate{q, graph.point(q)});
-  return result;
-}
-
 /// Removes the relay-only leaf chain starting at `v` (stops at the root, a
-/// subscriber, or a branching point). Returns edges removed.
+/// subscriber, or a branching point), and the zones of the peers it
+/// removes. Returns edges removed.
 std::size_t cascade_relays(GroupTree& gt, PeerId v) {
   std::size_t removed = 0;
   while (v != gt.tree.root() && !gt.is_subscriber[v] && gt.tree.reached(v) &&
          gt.tree.children(v).empty()) {
     const PeerId up = gt.tree.parent(v);
     gt.tree.remove_leaf(v);
+    gt.zones.erase(v);
     ++removed;
     v = up;
   }
@@ -64,7 +57,6 @@ GroupTree build_group_tree(const overlay::OverlayGraph& graph, PeerId root,
 
   GroupTree gt;
   gt.tree = multicast::MulticastTree(n, root);
-  gt.zones.assign(n, geometry::Rect(graph.dims()));
   gt.is_subscriber = subscribers;
   std::vector<PeerId> subscriber_ids;
   for (PeerId p = 0; p < n; ++p)
@@ -75,27 +67,27 @@ GroupTree build_group_tree(const overlay::OverlayGraph& graph, PeerId root,
       subscriber_ids.push_back(p);
     }
 
-  // Each queue entry carries the subscribers strictly inside its zone;
-  // sibling slices are disjoint, so every subscriber follows exactly one
-  // root-to-slice path and the total pruning work is O(S x depth), not
-  // O(tree_nodes x assignments x S).
+  // Each queue entry carries the subscribers strictly inside its peer's
+  // zone; sibling slices are disjoint, so every subscriber follows exactly
+  // one root-to-slice path and the total pruning work is O(S x depth), not
+  // O(tree_nodes x assignments x S). The peer's zone is read from gt.zones.
   struct Pending {
     PeerId peer;
-    geometry::Rect zone;
     std::vector<PeerId> subs;
   };
-  gt.zones[root] = multicast::initiator_zone(graph.dims());
+  gt.zones.emplace(root, multicast::initiator_zone(graph.dims()));
   std::deque<Pending> queue;
-  queue.push_back(Pending{root, gt.zones[root], subscriber_ids});
+  queue.push_back(Pending{root, subscriber_ids});
 
+  std::vector<multicast::ZoneAssignment> assignments;
+  std::vector<std::vector<PeerId>> split;
   while (!queue.empty()) {
     const Pending current = std::move(queue.front());
     queue.pop_front();
 
-    const auto neighbors = alive_neighbors(graph, current.peer, alive);
-    const auto assignments = multicast::partition_step(
-        graph.point(current.peer), current.zone, neighbors, config.policy, config.metric);
-    std::vector<std::vector<PeerId>> split(assignments.size());
+    multicast::partition_step(graph, current.peer, gt.zones.at(current.peer), assignments,
+                              config.policy, config.metric, nullptr, alive);
+    split.assign(assignments.size(), {});
     for (PeerId s : current.subs)
       for (std::size_t i = 0; i < assignments.size(); ++i)
         if (assignments[i].zone.contains_interior(graph.point(s))) {
@@ -107,8 +99,8 @@ GroupTree build_group_tree(const overlay::OverlayGraph& graph, PeerId root,
       const multicast::ZoneAssignment& a = assignments[i];
       ++gt.build_messages;
       gt.tree.add_edge(current.peer, a.child);
-      gt.zones[a.child] = a.zone;
-      queue.push_back(Pending{a.child, a.zone, std::move(split[i])});
+      gt.zones.emplace(a.child, a.zone);
+      queue.push_back(Pending{a.child, std::move(split[i])});
     }
   }
   for (PeerId s : subscriber_ids)
@@ -145,11 +137,15 @@ GraftStep graft_step(const overlay::OverlayGraph& graph, GroupTree& gt,
   // new path's length; past the peer count the cache is inconsistent.
   if (cursor.steps > graph.size()) return GraftStep{GraftStatus::kExhausted};
 
+  // Only reached peers hold a zone: a cursor left on a peer the tree has
+  // since dropped has nothing to replay.
+  const auto zone = gt.zones.find(cursor.current);
+  if (zone == gt.zones.end()) return GraftStep{GraftStatus::kExhausted};
+
   const geometry::Point& target = graph.point(s);
-  const auto neighbors = alive_neighbors(graph, cursor.current, alive);
-  const auto assignments =
-      multicast::partition_step(graph.point(cursor.current), gt.zones[cursor.current],
-                                neighbors, config.policy, config.metric);
+  std::vector<multicast::ZoneAssignment> assignments;
+  multicast::partition_step(graph, cursor.current, zone->second, assignments, config.policy,
+                            config.metric, nullptr, alive);
   const multicast::ZoneAssignment* next = nullptr;
   for (const multicast::ZoneAssignment& a : assignments)
     if (a.zone.contains_interior(target)) {
@@ -160,7 +156,7 @@ GraftStep graft_step(const overlay::OverlayGraph& graph, GroupTree& gt,
   ++cursor.steps;
   if (!gt.tree.reached(next->child)) {
     gt.tree.add_edge(cursor.current, next->child);
-    gt.zones[next->child] = next->zone;
+    gt.zones.emplace(next->child, next->zone);
     // A stranded subscriber recruited as a relay is spanned again.
     if (gt.is_subscriber[next->child]) ++gt.reached_subscribers;
   }
@@ -299,7 +295,7 @@ GroupRepairResult repair_group_tree(const overlay::OverlayGraph& graph, GroupTre
   // Even a pure leaf removal stales the zones: the departed peer leaves
   // the candidate sets of its in-tree overlay neighbours, so replaying the
   // recursion (what a graft does) would pick different delegates there.
-  gt.zones_stale = true;
+  gt.mark_zones_stale();
   return result;
 }
 
@@ -347,7 +343,7 @@ StrandRescueResult rescue_stranded(const overlay::OverlayGraph& graph, GroupTree
   }
   // Splice paths are not what the recursion would have produced: replaying
   // a zone descent against them is undefined, so grafts must rebuild.
-  if (result.rescued > 0 || result.spliced_relays > 0) gt.zones_stale = true;
+  if (result.rescued > 0 || result.spliced_relays > 0) gt.mark_zones_stale();
   return result;
 }
 

@@ -22,6 +22,14 @@
 // build; it marks the zones stale, which blocks further zone-guided grafts
 // until the GroupManager rebuilds.
 //
+// Zone storage is proportional to the tree, not the overlay: `zones` maps
+// each reached peer to the responsibility zone its parent delegated, and
+// build, graft and prune keep its keys equal to the reached set (the prune
+// cascade erases the zones of the leaves it removes). A stale tree holds
+// no zones at all — nothing may read them once the recursion cannot be
+// replayed — so copy-on-write clones copy a handful of rects, never one
+// per peer.
+//
 // General-position caveat (inherited from the paper's open-zone recursion):
 // a subscriber whose identifier ties a delegating peer's coordinate lies on
 // a zone boundary and cannot be reached by any slice. Such subscribers stay
@@ -31,6 +39,7 @@
 #pragma once
 
 #include <cstdint>
+#include <unordered_map>
 #include <vector>
 
 #include "multicast/space_partition.hpp"
@@ -42,8 +51,9 @@ using overlay::PeerId;
 using overlay::kInvalidPeer;
 
 struct GroupTree {
-  multicast::MulticastTree tree;      // spans subscribers and relays
-  std::vector<geometry::Rect> zones;  // responsibility zone per reached peer
+  multicast::MulticastTree tree;  // spans subscribers and relays
+  /// Responsibility zone of each reached peer; empty once zones_stale.
+  std::unordered_map<PeerId, geometry::Rect> zones;
   std::vector<bool> is_subscriber;    // delivery flag per peer
   std::size_t subscriber_count = 0;   // peers with the delivery flag set
   /// Subscribers the tree actually spans (== subscriber_count unless a
@@ -57,6 +67,11 @@ struct GroupTree {
 
   [[nodiscard]] std::size_t relay_count() const noexcept {
     return tree.reached_count() - reached_subscribers;
+  }
+  /// Drops the zones and blocks zone-guided grafts until a rebuild.
+  void mark_zones_stale() noexcept {
+    zones.clear();
+    zones_stale = true;
   }
 };
 
@@ -109,7 +124,8 @@ struct GraftStep {
 /// the subscriber is already spanned (re-subscribe / relay promotion).
 /// Must not be called on a stale-zoned tree (throws std::logic_error) —
 /// the caller gates on `zones_stale` before every step because a repair
-/// can land between steps of an in-flight descent.
+/// can land between steps of an in-flight descent. A cursor left on a peer
+/// the tree no longer reaches returns kExhausted.
 [[nodiscard]] GraftStep graft_step(const overlay::OverlayGraph& graph, GroupTree& gt,
                                    GraftCursor& cursor,
                                    const multicast::MulticastConfig& config = {},

@@ -1,7 +1,6 @@
 #include "multicast/local_rule.hpp"
 
 #include <algorithm>
-#include <map>
 #include <stdexcept>
 
 #include "geometry/orthant.hpp"
@@ -9,44 +8,55 @@
 
 namespace geomcast::multicast {
 
-std::vector<ZoneAssignment> partition_step(const geometry::Point& ego,
-                                           const geometry::Rect& zone,
-                                           std::span<const overlay::Candidate> neighbors,
-                                           PickPolicy policy, geometry::Metric metric,
-                                           util::Rng* rng) {
+void partition_step(const overlay::OverlayGraph& graph, overlay::PeerId ego,
+                    const geometry::Rect& zone, std::vector<ZoneAssignment>& out,
+                    PickPolicy policy, geometry::Metric metric, util::Rng* rng,
+                    const std::vector<bool>& alive) {
   if (policy == PickPolicy::kRandom && rng == nullptr)
     throw std::invalid_argument("partition_step: kRandom policy requires an rng");
 
-  struct Member {
-    overlay::PeerId id;
+  struct Ranked {
+    geometry::OrthantCode orthant;
     double dist;
+    overlay::PeerId id;
   };
-  // std::map keeps region iteration order deterministic (ascending code).
-  std::map<geometry::OrthantCode, std::vector<Member>> regions;
-  for (const overlay::Candidate& c : neighbors) {
-    if (!zone.contains_interior(c.point)) continue;
-    regions[geometry::orthant_of(ego, c.point)].push_back(
-        Member{c.id, geometry::distance(metric, ego, c.point)});
+  // One flat buffer sorted by (orthant, distance, id): each orthant's
+  // members form a contiguous run in ascending code order, ranked exactly
+  // as a per-region sort would rank them. Neighbour ids are unique, so the
+  // order is total and the picks do not depend on the sort algorithm.
+  thread_local std::vector<Ranked> ranked;
+  ranked.clear();
+  const std::vector<geometry::Point>& points = graph.points();
+  const geometry::Point& at = graph.point(ego);
+  for (const overlay::PeerId q : graph.neighbors(ego)) {
+    if (!alive.empty() && !alive[q]) continue;
+    const geometry::Point& point = points[q];
+    if (!zone.contains_interior(point)) continue;
+    ranked.push_back(
+        Ranked{geometry::orthant_of(at, point), geometry::distance(metric, at, point), q});
   }
+  std::sort(ranked.begin(), ranked.end(), [](const Ranked& a, const Ranked& b) {
+    if (a.orthant != b.orthant) return a.orthant < b.orthant;
+    if (a.dist != b.dist) return a.dist < b.dist;
+    return a.id < b.id;
+  });
 
-  std::vector<ZoneAssignment> assignments;
-  assignments.reserve(regions.size());
-  for (auto& [orthant, members] : regions) {
-    std::sort(members.begin(), members.end(), [](const Member& a, const Member& b) {
-      if (a.dist != b.dist) return a.dist < b.dist;
-      return a.id < b.id;
-    });
+  out.clear();
+  for (std::size_t begin = 0; begin < ranked.size();) {
+    std::size_t end = begin + 1;
+    while (end < ranked.size() && ranked[end].orthant == ranked[begin].orthant) ++end;
+    const std::size_t size = end - begin;
     std::size_t pick = 0;
     switch (policy) {
-      case PickPolicy::kMedian: pick = (members.size() - 1) / 2; break;
+      case PickPolicy::kMedian: pick = (size - 1) / 2; break;
       case PickPolicy::kClosest: pick = 0; break;
-      case PickPolicy::kFarthest: pick = members.size() - 1; break;
-      case PickPolicy::kRandom: pick = rng->next_below(members.size()); break;
+      case PickPolicy::kFarthest: pick = size - 1; break;
+      case PickPolicy::kRandom: pick = rng->next_below(size); break;
     }
-    assignments.push_back(
-        ZoneAssignment{members[pick].id, child_zone(zone, ego, orthant)});
+    const Ranked& chosen = ranked[begin + pick];
+    out.push_back(ZoneAssignment{chosen.id, child_zone(zone, at, chosen.orthant)});
+    begin = end;
   }
-  return assignments;
 }
 
 }  // namespace geomcast::multicast

@@ -38,12 +38,10 @@ class MulticastNode final : public sim::Node {
     if (from != overlay::kInvalidPeer) build.tree.add_edge(from, id());
     shared_.completion_time = sim.now();
 
-    std::vector<overlay::Candidate> neighbors;
-    for (overlay::PeerId q : graph_.neighbors(id()))
-      neighbors.push_back(overlay::Candidate{q, graph_.point(q)});
     util::Rng* rng_ptr = config_.policy == PickPolicy::kRandom ? &rng_ : nullptr;
-    const auto assignments = partition_step(graph_.point(id()), request.zone, neighbors,
-                                            config_.policy, config_.metric, rng_ptr);
+    std::vector<ZoneAssignment> assignments;
+    partition_step(graph_, id(), request.zone, assignments, config_.policy, config_.metric,
+                   rng_ptr);
     for (const ZoneAssignment& a : assignments)
       sim.send(id(), a.child, kBuildRequestKind, BuildRequest{a.zone, request.root});
   }

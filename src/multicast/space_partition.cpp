@@ -32,18 +32,13 @@ BuildResult build_multicast_tree(const overlay::OverlayGraph& graph, overlay::Pe
   result.zones[root] = initiator_zone(dims);
   result.zone_assigned[root] = true;
 
-  std::vector<overlay::Candidate> neighbor_candidates;
+  std::vector<ZoneAssignment> assignments;
   while (!queue.empty()) {
     const Pending current = queue.front();
     queue.pop_front();
 
-    neighbor_candidates.clear();
-    for (overlay::PeerId q : graph.neighbors(current.peer))
-      neighbor_candidates.push_back(overlay::Candidate{q, graph.point(q)});
-
-    const auto assignments = partition_step(graph.point(current.peer), current.zone,
-                                            neighbor_candidates, config.policy,
-                                            config.metric, rng_ptr);
+    partition_step(graph, current.peer, current.zone, assignments, config.policy,
+                   config.metric, rng_ptr);
     for (const ZoneAssignment& a : assignments) {
       ++result.request_messages;
       if (result.zone_assigned[a.child]) {

@@ -10,7 +10,9 @@ bool looks_like_flag(const std::string& arg) {
 }
 }  // namespace
 
-Flags::Flags(int argc, const char* const* argv) {
+Flags::Flags(int argc, const char* const* argv,
+             std::initializer_list<std::string_view> known)
+    : known_(known.begin(), known.end()) {
   if (argc > 0) program_ = argv[0];
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
@@ -19,49 +21,58 @@ Flags::Flags(int argc, const char* const* argv) {
       continue;
     }
     arg.erase(0, 2);
+    std::string value = "true";  // bare boolean flag
     if (const auto eq = arg.find('='); eq != std::string::npos) {
-      values_[arg.substr(0, eq)] = arg.substr(eq + 1);
+      value = arg.substr(eq + 1);
+      arg.erase(eq);
     } else if (i + 1 < argc && !looks_like_flag(argv[i + 1])) {
-      values_[arg] = argv[++i];
-    } else {
-      values_[arg] = "true";  // bare boolean flag
+      value = argv[++i];
     }
+    if (known_.count(arg) == 0) throw std::invalid_argument("unknown flag --" + arg);
+    values_[arg] = std::move(value);
   }
 }
 
-bool Flags::has(const std::string& name) const { return values_.count(name) > 0; }
+const std::string* Flags::find(const std::string& name) const {
+  if (known_.count(name) == 0)
+    throw std::logic_error("flag --" + name + " is read but not declared");
+  const auto it = values_.find(name);
+  return it == values_.end() ? nullptr : &it->second;
+}
+
+bool Flags::has(const std::string& name) const { return find(name) != nullptr; }
 
 std::string Flags::get_string(const std::string& name, const std::string& fallback) const {
-  const auto it = values_.find(name);
-  return it == values_.end() ? fallback : it->second;
+  const std::string* value = find(name);
+  return value == nullptr ? fallback : *value;
 }
 
 std::int64_t Flags::get_int(const std::string& name, std::int64_t fallback) const {
-  const auto it = values_.find(name);
-  if (it == values_.end()) return fallback;
+  const std::string* value = find(name);
+  if (value == nullptr) return fallback;
   try {
-    return std::stoll(it->second);
+    return std::stoll(*value);
   } catch (const std::exception&) {
-    throw std::invalid_argument("flag --" + name + " expects an integer, got '" +
-                                it->second + "'");
+    throw std::invalid_argument("flag --" + name + " expects an integer, got '" + *value +
+                                "'");
   }
 }
 
 double Flags::get_double(const std::string& name, double fallback) const {
-  const auto it = values_.find(name);
-  if (it == values_.end()) return fallback;
+  const std::string* value = find(name);
+  if (value == nullptr) return fallback;
   try {
-    return std::stod(it->second);
+    return std::stod(*value);
   } catch (const std::exception&) {
-    throw std::invalid_argument("flag --" + name + " expects a number, got '" +
-                                it->second + "'");
+    throw std::invalid_argument("flag --" + name + " expects a number, got '" + *value +
+                                "'");
   }
 }
 
 bool Flags::get_bool(const std::string& name, bool fallback) const {
-  const auto it = values_.find(name);
-  if (it == values_.end()) return fallback;
-  const std::string& text = it->second;
+  const std::string* value = find(name);
+  if (value == nullptr) return fallback;
+  const std::string& text = *value;
   if (text == "true" || text == "1" || text == "yes" || text == "on") return true;
   if (text == "false" || text == "0" || text == "no" || text == "off") return false;
   throw std::invalid_argument("flag --" + name + " expects a boolean, got '" + text + "'");
@@ -69,11 +80,11 @@ bool Flags::get_bool(const std::string& name, bool fallback) const {
 
 std::vector<std::int64_t> Flags::get_int_list(
     const std::string& name, const std::vector<std::int64_t>& fallback) const {
-  const auto it = values_.find(name);
-  if (it == values_.end()) return fallback;
+  const std::string* value = find(name);
+  if (value == nullptr) return fallback;
   std::vector<std::int64_t> out;
   std::string token;
-  for (char ch : it->second + ",") {
+  for (char ch : *value + ",") {
     if (ch == ',') {
       if (!token.empty()) {
         out.push_back(std::stoll(token));

@@ -1,19 +1,26 @@
 // Minimal command-line flag parsing for the bench/example binaries.
 // Supports --name=value and --name value; bool flags accept bare --name.
+// Each program declares the flag names it reads, so a misspelled or
+// retired flag fails the run instead of silently doing nothing.
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <map>
+#include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace geomcast::util {
 
 class Flags {
  public:
-  /// Parses argv; throws std::invalid_argument on malformed input
-  /// (non-flag positional arguments are collected, not rejected).
-  Flags(int argc, const char* const* argv);
+  /// Parses argv; throws std::invalid_argument on malformed input or on a
+  /// flag whose name is not in `known` (non-flag positional arguments are
+  /// collected, not rejected). The getters throw std::logic_error for a
+  /// name outside `known`: the declaration must list every flag read.
+  Flags(int argc, const char* const* argv, std::initializer_list<std::string_view> known);
 
   [[nodiscard]] bool has(const std::string& name) const;
   [[nodiscard]] std::string get_string(const std::string& name,
@@ -31,7 +38,11 @@ class Flags {
   [[nodiscard]] const std::string& program() const noexcept { return program_; }
 
  private:
+  /// The value given for `name`, or null when absent.
+  [[nodiscard]] const std::string* find(const std::string& name) const;
+
   std::string program_;
+  std::set<std::string, std::less<>> known_;
   std::map<std::string, std::string> values_;
   std::vector<std::string> positional_;
 };

@@ -4,6 +4,7 @@
 
 #include "geometry/random_points.hpp"
 #include "multicast/space_partition.hpp"
+#include "multicast/zone.hpp"
 #include "overlay/empty_rect.hpp"
 #include "overlay/equilibrium.hpp"
 #include "util/rng.hpp"
@@ -52,6 +53,28 @@ void expect_spans_subscribers(const overlay::OverlayGraph& graph, const GroupTre
   }
 }
 
+/// Zones are stored for reached peers only: the keys of `gt.zones` are
+/// exactly the reached set.
+void expect_zones_match_reached(const overlay::OverlayGraph& graph, const GroupTree& gt) {
+  std::size_t reached = 0;
+  for (PeerId p = 0; p < graph.size(); ++p) {
+    EXPECT_EQ(gt.zones.count(p), gt.tree.reached(p) ? 1u : 0u) << "peer " << p;
+    if (gt.tree.reached(p)) ++reached;
+  }
+  EXPECT_EQ(gt.zones.size(), reached);
+}
+
+/// Same reached set, and every reached peer holds the same zone.
+void expect_same_zones(const overlay::OverlayGraph& graph, const GroupTree& got,
+                       const GroupTree& want) {
+  for (PeerId p = 0; p < graph.size(); ++p) {
+    ASSERT_EQ(got.tree.reached(p), want.tree.reached(p)) << "peer " << p;
+    if (want.tree.reached(p)) {
+      EXPECT_EQ(got.zones.at(p), want.zones.at(p)) << "peer " << p;
+    }
+  }
+}
+
 TEST(GroupTreeTest, SpansAllSubscribersAndPrunesTheRest) {
   const auto graph = make_overlay(80, 2, 101);
   const auto subs = random_mask(graph.size(), 12, 7);
@@ -61,6 +84,8 @@ TEST(GroupTreeTest, SpansAllSubscribersAndPrunesTheRest) {
   // A 12-subscriber tree must be strictly cheaper than spanning everyone.
   EXPECT_LT(gt.tree.edge_count(), graph.size() - 1);
   EXPECT_EQ(gt.build_messages, gt.tree.edge_count());
+  expect_zones_match_reached(graph, gt);
+  EXPECT_EQ(gt.zones.at(0), multicast::initiator_zone(2));
 }
 
 TEST(GroupTreeTest, FullSubscriptionMatchesWholeSpaceConstruction) {
@@ -106,6 +131,8 @@ TEST(GroupTreeTest, GraftEqualsFreshBuild) {
     EXPECT_EQ(grown.tree.parent(p), fresh.tree.parent(p)) << "peer " << p;
     EXPECT_EQ(grown.is_subscriber[p], fresh.is_subscriber[p]) << "peer " << p;
   }
+  expect_zones_match_reached(graph, grown);
+  expect_same_zones(graph, grown, fresh);
 }
 
 TEST(GroupTreeTest, PruneEqualsFreshBuild) {
@@ -130,6 +157,8 @@ TEST(GroupTreeTest, PruneEqualsFreshBuild) {
     if (fresh.tree.reached(p) && p != 0)
       EXPECT_EQ(shrunk.tree.parent(p), fresh.tree.parent(p)) << "peer " << p;
   }
+  expect_zones_match_reached(graph, shrunk);
+  expect_same_zones(graph, shrunk, fresh);
 }
 
 TEST(GroupTreeTest, GraftThenPruneIsIdentity) {
@@ -146,11 +175,38 @@ TEST(GroupTreeTest, GraftThenPruneIsIdentity) {
   const auto original = build_group_tree(graph, 0, subs);
   auto mutated = build_group_tree(graph, 0, subs);
   ASSERT_TRUE(graft_subscriber(graph, mutated, extra).attached);
+  expect_zones_match_reached(graph, mutated);
   prune_subscriber(mutated, extra);
   for (PeerId p = 0; p < graph.size(); ++p) {
     EXPECT_EQ(mutated.tree.reached(p), original.tree.reached(p)) << "peer " << p;
     EXPECT_EQ(mutated.is_subscriber[p], original.is_subscriber[p]) << "peer " << p;
   }
+  // The cascade erased the zones of the relay chain the graft had added.
+  expect_zones_match_reached(graph, mutated);
+  expect_same_zones(graph, mutated, original);
+}
+
+TEST(GroupTreeTest, PruneCascadeErasesRelayZones) {
+  // Graft the peers a cascade must walk back over: each graft either adds a
+  // relay chain or reuses one, and pruning them all must leave exactly the
+  // original reached set and zones behind.
+  const auto graph = make_overlay(120, 3, 110);
+  const auto subs = random_mask(graph.size(), 5, 23);
+  const auto original = build_group_tree(graph, 0, subs);
+  auto mutated = build_group_tree(graph, 0, subs);
+  std::vector<PeerId> extras;
+  for (PeerId p = 1; p < graph.size() && extras.size() < 10; ++p)
+    if (!subs[p] && !original.tree.reached(p)) extras.push_back(p);
+  ASSERT_EQ(extras.size(), 10u);
+  for (PeerId p : extras) ASSERT_TRUE(graft_subscriber(graph, mutated, p).attached);
+  EXPECT_GT(mutated.zones.size(), original.zones.size());
+  expect_zones_match_reached(graph, mutated);
+  for (PeerId p : extras) {
+    prune_subscriber(mutated, p);
+    expect_zones_match_reached(graph, mutated);
+  }
+  EXPECT_EQ(mutated.zones.size(), original.zones.size());
+  expect_same_zones(graph, mutated, original);
 }
 
 TEST(GroupTreeTest, RepairRemovesDepartedAndKeepsCoverage) {
@@ -173,6 +229,7 @@ TEST(GroupTreeTest, RepairRemovesDepartedAndKeepsCoverage) {
   ASSERT_FALSE(repair.needs_rebuild);
   EXPECT_GT(repair.reattached, 0u);
   EXPECT_TRUE(gt.zones_stale);
+  EXPECT_TRUE(gt.zones.empty());  // stale zones are never read, so none are kept
   EXPECT_FALSE(gt.tree.reached(departed));
   EXPECT_FALSE(gt.is_subscriber[departed]);
   expect_spans_subscribers(graph, gt);

@@ -1,8 +1,14 @@
 // Direct unit tests of partition_step — the §2 local forwarding rule —
-// without going through the tree builders.
+// without going through the tree builders, plus an equivalence sweep of the
+// graph-reading kernel against the per-region std::map rule it replaced.
 #include "multicast/local_rule.hpp"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <map>
+#include <span>
+#include <string>
 
 #include "geometry/orthant.hpp"
 #include "geometry/random_points.hpp"
@@ -18,35 +24,54 @@ namespace {
 using overlay::Candidate;
 using overlay::PeerId;
 
+/// A star overlay: peer 0 sits at `ego` and selected peers 1..k, placed at
+/// `neighbors` in order (so neighbour i has id i + 1).
+overlay::OverlayGraph star(const geometry::Point& ego,
+                           const std::vector<geometry::Point>& neighbors) {
+  std::vector<geometry::Point> points{ego};
+  points.insert(points.end(), neighbors.begin(), neighbors.end());
+  std::vector<std::vector<PeerId>> out(points.size());
+  for (PeerId q = 1; q < points.size(); ++q) out[0].push_back(q);
+  return overlay::OverlayGraph(std::move(points), std::move(out));
+}
+
+/// One step at the star's centre.
+std::vector<ZoneAssignment> step_at_center(const overlay::OverlayGraph& graph,
+                                           const geometry::Rect& zone,
+                                           PickPolicy policy = PickPolicy::kMedian,
+                                           util::Rng* rng = nullptr) {
+  std::vector<ZoneAssignment> out;
+  partition_step(graph, 0, zone, out, policy, geometry::Metric::kL1, rng);
+  return out;
+}
+
 TEST(LocalRuleTest, NoNeighborsNoAssignments) {
   const auto assignments =
-      partition_step(geometry::Point({1.0, 2.0}), initiator_zone(2), {});
+      step_at_center(star(geometry::Point({1.0, 2.0}), {}), initiator_zone(2));
   EXPECT_TRUE(assignments.empty());
 }
 
 TEST(LocalRuleTest, NeighborsOutsideZoneIgnored) {
   const geometry::Point ego{50.0, 50.0};
   const auto zone = geometry::Rect::cube(2, 40.0, 60.0);
-  const std::vector<Candidate> neighbors{{1, geometry::Point({70.0, 70.0})},
-                                         {2, geometry::Point({10.0, 55.0})}};
-  EXPECT_TRUE(partition_step(ego, zone, neighbors).empty());
+  const auto graph =
+      star(ego, {geometry::Point({70.0, 70.0}), geometry::Point({10.0, 55.0})});
+  EXPECT_TRUE(step_at_center(graph, zone).empty());
 }
 
 TEST(LocalRuleTest, ZoneBoundaryIsExclusive) {
   // Zones are strict interiors: a neighbour exactly on the boundary is out.
   const geometry::Point ego{50.0, 50.0};
   const auto zone = geometry::Rect::cube(2, 40.0, 60.0);
-  const std::vector<Candidate> neighbors{{1, geometry::Point({60.0, 55.0})}};
-  EXPECT_TRUE(partition_step(ego, zone, neighbors).empty());
+  EXPECT_TRUE(step_at_center(star(ego, {geometry::Point({60.0, 55.0})}), zone).empty());
 }
 
 TEST(LocalRuleTest, OneDelegatePerOccupiedRegion) {
   const geometry::Point ego{50.0, 50.0};
   // Two neighbours in the (+,+) quadrant, one in (-,-).
-  const std::vector<Candidate> neighbors{{1, geometry::Point({60.0, 60.0})},
-                                         {2, geometry::Point({55.0, 70.0})},
-                                         {3, geometry::Point({40.0, 30.0})}};
-  const auto assignments = partition_step(ego, initiator_zone(2), neighbors);
+  const auto graph = star(ego, {geometry::Point({60.0, 60.0}), geometry::Point({55.0, 70.0}),
+                                geometry::Point({40.0, 30.0})});
+  const auto assignments = step_at_center(graph, initiator_zone(2));
   EXPECT_EQ(assignments.size(), 2u);
 }
 
@@ -54,10 +79,10 @@ TEST(LocalRuleTest, MedianPickIsLowerMedian) {
   // L1 distances in one quadrant: 4 < 8 < 20; median (lower, index (3-1)/2=1)
   // must be the distance-8 neighbour.
   const geometry::Point ego{0.0, 0.0};
-  const std::vector<Candidate> neighbors{{1, geometry::Point({1.0, 3.0})},     // L1=4
-                                         {2, geometry::Point({5.0, 3.5})},     // L1=8.5
-                                         {3, geometry::Point({10.0, 10.5})}};  // L1=20.5
-  const auto assignments = partition_step(ego, initiator_zone(2), neighbors);
+  const auto graph = star(ego, {geometry::Point({1.0, 3.0}),       // L1=4
+                                geometry::Point({5.0, 3.5}),       // L1=8.5
+                                geometry::Point({10.0, 10.5})});   // L1=20.5
+  const auto assignments = step_at_center(graph, initiator_zone(2));
   ASSERT_EQ(assignments.size(), 1u);
   EXPECT_EQ(assignments[0].child, 2u);
 }
@@ -65,23 +90,19 @@ TEST(LocalRuleTest, MedianPickIsLowerMedian) {
 TEST(LocalRuleTest, EvenCountLowerMedian) {
   // Four neighbours: lower median = index 1 of the sorted order.
   const geometry::Point ego{0.0, 0.0};
-  const std::vector<Candidate> neighbors{{1, geometry::Point({1.0, 1.5})},
-                                         {2, geometry::Point({2.0, 2.5})},
-                                         {3, geometry::Point({3.0, 3.5})},
-                                         {4, geometry::Point({4.0, 4.5})}};
-  const auto assignments = partition_step(ego, initiator_zone(2), neighbors);
+  const auto graph = star(ego, {geometry::Point({1.0, 1.5}), geometry::Point({2.0, 2.5}),
+                                geometry::Point({3.0, 3.5}), geometry::Point({4.0, 4.5})});
+  const auto assignments = step_at_center(graph, initiator_zone(2));
   ASSERT_EQ(assignments.size(), 1u);
   EXPECT_EQ(assignments[0].child, 2u);
 }
 
 TEST(LocalRuleTest, PoliciesSelectExpectedRanks) {
   const geometry::Point ego{0.0, 0.0};
-  const std::vector<Candidate> neighbors{{1, geometry::Point({1.0, 1.5})},
-                                         {2, geometry::Point({2.0, 2.5})},
-                                         {3, geometry::Point({3.0, 3.5})}};
+  const auto graph = star(ego, {geometry::Point({1.0, 1.5}), geometry::Point({2.0, 2.5}),
+                                geometry::Point({3.0, 3.5})});
   auto pick = [&](PickPolicy policy) {
-    const auto a = partition_step(ego, initiator_zone(2), neighbors, policy);
-    return a.at(0).child;
+    return step_at_center(graph, initiator_zone(2), policy).at(0).child;
   };
   EXPECT_EQ(pick(PickPolicy::kClosest), 1u);
   EXPECT_EQ(pick(PickPolicy::kMedian), 2u);
@@ -89,17 +110,15 @@ TEST(LocalRuleTest, PoliciesSelectExpectedRanks) {
 }
 
 TEST(LocalRuleTest, RandomPolicyWithoutRngThrows) {
-  const std::vector<Candidate> neighbors{{1, geometry::Point({1.0, 1.5})}};
-  EXPECT_THROW(partition_step(geometry::Point({0.0, 0.0}), initiator_zone(2), neighbors,
-                              PickPolicy::kRandom, geometry::Metric::kL1, nullptr),
+  const auto graph = star(geometry::Point({0.0, 0.0}), {geometry::Point({1.0, 1.5})});
+  EXPECT_THROW((void)step_at_center(graph, initiator_zone(2), PickPolicy::kRandom, nullptr),
                std::invalid_argument);
 }
 
 TEST(LocalRuleTest, DelegateZoneMatchesPaperFormula) {
   const geometry::Point ego{50.0, 50.0};
   const auto zone = geometry::Rect::cube(2, 0.0, 100.0);
-  const std::vector<Candidate> neighbors{{1, geometry::Point({30.0, 80.0})}};
-  const auto assignments = partition_step(ego, zone, neighbors);
+  const auto assignments = step_at_center(star(ego, {geometry::Point({30.0, 80.0})}), zone);
   ASSERT_EQ(assignments.size(), 1u);
   // x(Q,1) < x(P,1): side (-inf, 50) clipped to (0, 50);
   // x(Q,2) > x(P,2): side (50, +inf) clipped to (50, 100).
@@ -118,13 +137,11 @@ TEST_P(LocalRuleInvariantTest, AssignmentsPartitionCleanly) {
   const auto points =
       geometry::random_points(rng, 60, static_cast<std::size_t>(dims), 100.0);
   const geometry::Point& ego = points[0];
-  std::vector<Candidate> neighbors;
-  for (std::size_t i = 1; i < points.size(); ++i)
-    neighbors.push_back({static_cast<PeerId>(i), points[i]});
+  const auto graph = star(ego, std::vector<geometry::Point>(points.begin() + 1, points.end()));
 
   const auto zone = geometry::Rect::cube(static_cast<std::size_t>(dims), 10.0, 90.0);
   if (!zone.contains_interior(ego)) return;  // step assumes the ego holds the zone
-  const auto assignments = partition_step(ego, zone, neighbors);
+  const auto assignments = step_at_center(graph, zone);
 
   for (std::size_t i = 0; i < assignments.size(); ++i) {
     const auto& a = assignments[i];
@@ -136,12 +153,12 @@ TEST_P(LocalRuleInvariantTest, AssignmentsPartitionCleanly) {
       EXPECT_TRUE(a.zone.interior_disjoint(assignments[j].zone));
   }
   // Every in-zone neighbour is covered by exactly one delegate zone.
-  for (const auto& c : neighbors) {
-    if (!zone.contains_interior(c.point)) continue;
+  for (std::size_t i = 1; i < points.size(); ++i) {
+    if (!zone.contains_interior(points[i])) continue;
     int covering = 0;
     for (const auto& a : assignments)
-      if (a.zone.contains_interior(c.point)) ++covering;
-    EXPECT_EQ(covering, 1) << "neighbour " << c.id;
+      if (a.zone.contains_interior(points[i])) ++covering;
+    EXPECT_EQ(covering, 1) << "neighbour " << i;
   }
   // At most one delegate per orthant.
   EXPECT_LE(assignments.size(), geometry::orthant_count(static_cast<std::size_t>(dims)));
@@ -150,6 +167,145 @@ TEST_P(LocalRuleInvariantTest, AssignmentsPartitionCleanly) {
 INSTANTIATE_TEST_SUITE_P(Sweep, LocalRuleInvariantTest,
                          ::testing::Combine(::testing::Values(1, 2, 3, 5, 8),
                                             ::testing::Values(81u, 82u, 83u)));
+
+// ------------------------------------------------- kernel equivalence sweep
+// The per-region rule the graph-reading kernel replaced, kept here only as
+// the reference: copy the alive neighbours into Candidates, bucket the
+// in-zone ones by orthant in a std::map (ascending code), sort each bucket
+// by (distance, id) and pick one delegate per bucket.
+std::vector<ZoneAssignment> reference_step(const geometry::Point& ego,
+                                           const geometry::Rect& zone,
+                                           std::span<const Candidate> neighbors,
+                                           PickPolicy policy, geometry::Metric metric,
+                                           util::Rng* rng) {
+  struct Member {
+    PeerId id;
+    double dist;
+  };
+  std::map<geometry::OrthantCode, std::vector<Member>> regions;
+  for (const Candidate& c : neighbors) {
+    if (!zone.contains_interior(c.point)) continue;
+    regions[geometry::orthant_of(ego, c.point)].push_back(
+        Member{c.id, geometry::distance(metric, ego, c.point)});
+  }
+  std::vector<ZoneAssignment> assignments;
+  for (auto& [orthant, members] : regions) {
+    std::sort(members.begin(), members.end(), [](const Member& a, const Member& b) {
+      if (a.dist != b.dist) return a.dist < b.dist;
+      return a.id < b.id;
+    });
+    std::size_t pick = 0;
+    switch (policy) {
+      case PickPolicy::kMedian: pick = (members.size() - 1) / 2; break;
+      case PickPolicy::kClosest: pick = 0; break;
+      case PickPolicy::kFarthest: pick = members.size() - 1; break;
+      case PickPolicy::kRandom: pick = rng->next_below(members.size()); break;
+    }
+    assignments.push_back(ZoneAssignment{members[pick].id, child_zone(zone, ego, orthant)});
+  }
+  return assignments;
+}
+
+/// A random overlay on a coarse integer lattice, so points often tie on a
+/// coordinate and candidates often tie on distance.
+overlay::OverlayGraph tied_overlay(util::Rng& rng, std::size_t n, std::size_t dims) {
+  std::vector<geometry::Point> points(n, geometry::Point(dims));
+  for (auto& point : points)
+    for (std::size_t i = 0; i < dims; ++i)
+      point[i] = static_cast<double>(rng.next_below(8));
+  std::vector<std::vector<PeerId>> out(n);
+  for (PeerId p = 0; p < n; ++p)
+    for (PeerId q = 0; q < n; ++q)
+      if (q != p && rng.next_below(3) == 0) out[p].push_back(q);
+  return overlay::OverlayGraph(std::move(points), std::move(out));
+}
+
+/// A random zone: the whole space, a box around the lattice, or a box
+/// whose bounds sit on lattice values (so some points lie on its boundary).
+geometry::Rect random_zone(util::Rng& rng, std::size_t dims) {
+  switch (rng.next_below(3)) {
+    case 0: return initiator_zone(dims);
+    case 1: return geometry::Rect::cube(dims, -1.0, 9.0);
+    default: {
+      geometry::Rect zone = initiator_zone(dims);
+      for (std::size_t i = 0; i < dims; ++i) {
+        if (rng.next_below(2) == 0) zone.set_lo(i, static_cast<double>(rng.next_below(4)));
+        if (rng.next_below(2) == 0) zone.set_hi(i, static_cast<double>(4 + rng.next_below(4)));
+      }
+      return zone;
+    }
+  }
+}
+
+class KernelEquivalenceTest : public ::testing::TestWithParam<std::tuple<int, PickPolicy>> {};
+
+TEST_P(KernelEquivalenceTest, MatchesPerRegionReference) {
+  const auto [d, policy] = GetParam();
+  const auto dims = static_cast<std::size_t>(d);
+  const geometry::Metric metrics[] = {geometry::Metric::kL1, geometry::Metric::kL2,
+                                      geometry::Metric::kLInf};
+  util::Rng rng(4000 + dims * 10 + static_cast<std::uint64_t>(policy));
+  std::size_t compared = 0;
+  for (int trial = 0; trial < 12; ++trial) {
+    const auto graph = tied_overlay(rng, 40, dims);
+    // Every third trial runs with all peers up; the rest drop ~30%.
+    std::vector<bool> alive;
+    if (trial % 3 != 0) {
+      alive.assign(graph.size(), true);
+      for (PeerId p = 0; p < graph.size(); ++p)
+        if (rng.next_below(10) < 3) alive[p] = false;
+    }
+    const geometry::Metric metric = metrics[trial % 3];
+    std::vector<ZoneAssignment> got;
+    for (PeerId ego = 0; ego < graph.size(); ++ego) {
+      const geometry::Rect zone = random_zone(rng, dims);
+      std::vector<Candidate> candidates;
+      for (PeerId q : graph.neighbors(ego))
+        if (alive.empty() || alive[q]) candidates.push_back(Candidate{q, graph.point(q)});
+
+      const std::uint64_t seed = rng();
+      util::Rng reference_rng(seed);
+      util::Rng kernel_rng(seed);
+      const bool random = policy == PickPolicy::kRandom;
+      const auto want = reference_step(graph.point(ego), zone, candidates, policy, metric,
+                                       random ? &reference_rng : nullptr);
+      partition_step(graph, ego, zone, got, policy, metric, random ? &kernel_rng : nullptr,
+                     alive);
+      ASSERT_EQ(got.size(), want.size()) << "trial " << trial << " ego " << ego;
+      for (std::size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(got[i].child, want[i].child) << "trial " << trial << " ego " << ego;
+        EXPECT_EQ(got[i].zone, want[i].zone) << "trial " << trial << " ego " << ego;
+      }
+      // kRandom draws once per occupied orthant, in the same order.
+      EXPECT_EQ(kernel_rng(), reference_rng()) << "trial " << trial << " ego " << ego;
+      compared += want.size();
+    }
+  }
+  EXPECT_GT(compared, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sweep, KernelEquivalenceTest,
+    ::testing::Combine(::testing::Values(1, 2, 3, 5),
+                       ::testing::Values(PickPolicy::kMedian, PickPolicy::kClosest,
+                                         PickPolicy::kFarthest, PickPolicy::kRandom)),
+    [](const auto& info) {
+      return "D" + std::to_string(std::get<0>(info.param)) + "_" +
+             to_string(std::get<1>(info.param));
+    });
+
+TEST(LocalRuleTest, AliveMaskDropsDownNeighbours) {
+  // The median of {1, 2, 3} is 2; with 2 down it is the lower median of
+  // {1, 3}, which is 1.
+  const auto graph = star(geometry::Point({0.0, 0.0}),
+                          {geometry::Point({1.0, 1.5}), geometry::Point({2.0, 2.5}),
+                           geometry::Point({3.0, 3.5})});
+  std::vector<ZoneAssignment> out;
+  partition_step(graph, 0, initiator_zone(2), out, PickPolicy::kMedian,
+                 geometry::Metric::kL1, nullptr, {true, true, false, true});
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].child, 1u);
+}
 
 // ------------------------------------------------------------ D=1 degeneracy
 // On a line, the empty-rectangle overlay is exactly the sorted path, and the

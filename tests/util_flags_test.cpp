@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
 namespace geomcast::util {
 namespace {
@@ -10,7 +11,18 @@ namespace {
 Flags make_flags(std::initializer_list<const char*> args) {
   std::vector<const char*> argv{"prog"};
   argv.insert(argv.end(), args.begin(), args.end());
-  return Flags(static_cast<int>(argv.size()), argv.data());
+  return Flags(static_cast<int>(argv.size()), argv.data(),
+               {"peers", "mode", "ratio", "verbose", "x", "dims", "present", "absent", "n"});
+}
+
+/// The message of the std::invalid_argument that parsing `args` throws.
+std::string parse_error(std::initializer_list<const char*> args) {
+  try {
+    (void)make_flags(args);
+  } catch (const std::invalid_argument& error) {
+    return error.what();
+  }
+  return "";
 }
 
 TEST(FlagsTest, EqualsSyntax) {
@@ -92,6 +104,29 @@ TEST(FlagsTest, HasDetectsPresence) {
 TEST(FlagsTest, LastValueWins) {
   const auto flags = make_flags({"--n=1", "--n=2"});
   EXPECT_EQ(flags.get_int("n", 0), 2);
+}
+
+TEST(FlagsTest, UnknownFlagThrowsNamingIt) {
+  EXPECT_EQ(parse_error({"--peers=5", "--bogus-flag=3"}), "unknown flag --bogus-flag");
+  EXPECT_EQ(parse_error({"--bogus-flag", "3"}), "unknown flag --bogus-flag");
+  EXPECT_EQ(parse_error({"--quick"}), "unknown flag --quick");
+  // A near miss of a declared name is still unknown.
+  EXPECT_EQ(parse_error({"--peer=5"}), "unknown flag --peer");
+}
+
+TEST(FlagsTest, DeclaredFlagsParse) {
+  EXPECT_EQ(parse_error({"--peers=5", "--verbose", "--mode", "x", "in.txt"}), "");
+}
+
+TEST(FlagsTest, ReadingAnUndeclaredNameIsALogicError) {
+  const auto flags = make_flags({});
+  try {
+    (void)flags.get_int("seed", 1);
+    FAIL() << "reading an undeclared flag must throw";
+  } catch (const std::logic_error& error) {
+    EXPECT_STREQ(error.what(), "flag --seed is read but not declared");
+  }
+  EXPECT_THROW((void)flags.has("seed"), std::logic_error);
 }
 
 }  // namespace
